@@ -62,7 +62,11 @@ from repro.itemsets.rules import (
     diff_rules,
     generate_rules,
 )
-from repro.itemsets.tidlist import TidListStore, intersect_sorted
+from repro.itemsets.tidlist import (
+    NonCanonicalTransactionError,
+    TidListStore,
+    intersect_sorted,
+)
 
 __all__ = [
     "Itemset",
@@ -85,6 +89,7 @@ __all__ = [
     "negative_border",
     "is_on_border",
     "check_border_invariant",
+    "NonCanonicalTransactionError",
     "TidListStore",
     "intersect_sorted",
     "BitmapTidList",

@@ -4,17 +4,22 @@ BORDERS (Feldman et al. 1997; Thomas et al. 1997) keeps the set of
 frequent itemsets ``L`` *and* the negative border ``NB⁻`` with exact
 counts.  When a block arrives it runs two phases:
 
-* **Detection** — scan just the new block once to update the counts of
-  every tracked itemset, then check which border itemsets crossed the
-  threshold (and which frequent itemsets fell below it).  If no border
-  itemset became frequent, the model is already correct.
+* **Detection** — count every tracked itemset on just the new block,
+  then check which border itemsets crossed the threshold (and which
+  frequent itemsets fell below it).  If no border itemset became
+  frequent, the model is already correct.
 * **Update** — promote the newly frequent border itemsets into ``L``,
   generate fresh candidates by the prefix join, and count them over the
   *entire* selected history; iterate until no new itemset is frequent.
 
 The update phase's counting step is pluggable — PT-Scan (full scan, as
 in the original BORDERS), ECUT, or ECUT+ — which is precisely the
-comparison in the paper's Figures 2 and 4–7.
+comparison in the paper's Figures 2 and 4–7.  Every other count the
+maintainer takes — detection on the new (or deleted) block and the
+Apriori levels of :meth:`BordersMaintainer.build` — comes from the
+per-block TID-lists built when the block was registered, through the
+batched ECUT engine: by §3.1.1's additivity a block's counts are a
+function of that block's lists alone, so no block is ever scanned.
 
 The maintainer implements :class:`DeletableModelMaintainer`, so it both
 instantiates GEMM and supports the direct add+delete alternative
@@ -27,12 +32,15 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Any
 
 from repro.contracts import maintainer_contract, pure_unless_cloned
 from repro.core.blocks import Block
 from repro.core.maintainer import DeletableModelMaintainer
-from repro.itemsets.apriori import apriori
+import numpy as np
+
+from repro.itemsets.apriori import MiningResult
 from repro.itemsets.border import is_on_border
 from repro.itemsets.counting import (
     ECUTCounter,
@@ -43,16 +51,66 @@ from repro.itemsets.counting import (
 from repro.itemsets.itemset import (
     Itemset,
     Transaction,
-    generate_candidates,
+    join_level,
+    minimum_count,
     proper_subsets,
 )
 from repro.itemsets.materialize import PairTidListStore
 from repro.itemsets.model import FrequentItemsetModel
-from repro.itemsets.prefix_tree import PrefixTree
 from repro.itemsets.tidlist import TidListStore
 from repro.storage.blockstore import BlockStore, transaction_nbytes
 from repro.storage.iostats import IOStatsRegistry
 from repro.storage.telemetry import DiagnosticsLog, Telemetry
+
+
+def apriori(
+    tidlists: TidListStore, block_ids: Sequence[int], minsup: float
+) -> MiningResult:
+    """Apriori with negative-border tracking, counted on TID-lists.
+
+    The same levels as the scan-based
+    :func:`repro.itemsets.apriori.apriori`, which stays the independent
+    oracle, but no block is read: by §3.1.1's additivity level 1 is the
+    sum of the blocks' catalogs, and level ``k`` counts its candidates
+    with the batched ECUT engine over the blocks' TID-lists.
+    """
+    counter = ECUTCounter(tidlists)
+    total = sum(tidlists.block_size(block_id) for block_id in block_ids)
+    result = MiningResult(n_transactions=total, minsup=minsup, passes=1)
+    if total == 0:
+        return result
+    catalogs = [tidlists.catalog(block_id) for block_id in block_ids]
+    items, inverse = np.unique(
+        np.concatenate([block_items for block_items, _ in catalogs]),
+        return_inverse=True,
+    )
+    item_counts = np.bincount(
+        inverse,
+        weights=np.concatenate([block_counts for _, block_counts in catalogs]),
+        minlength=len(items),
+    ).astype(np.int64)
+    mincount = minimum_count(minsup, total)
+    level = items.reshape(-1, 1)
+    itemsets: list[Itemset] = [(item,) for item in items.tolist()]
+    counts = item_counts
+    while True:
+        frequent = counts >= mincount
+        values = counts.tolist()
+        for flags, store in (
+            (frequent.tolist(), result.frequent),
+            ((~frequent).tolist(), result.border),
+        ):
+            store.update(zip(compress(itemsets, flags), compress(values, flags)))
+        level = join_level(level[frequent])
+        if len(level) == 0:
+            return result
+        itemsets = list(map(tuple, level.tolist()))
+        counts = np.fromiter(
+            counter.count_batch(itemsets, block_ids).values(),
+            dtype=np.int64,
+            count=len(itemsets),
+        )
+        result.passes += 1
 
 
 @dataclass
@@ -251,25 +309,31 @@ class BordersMaintainer(
         return FrequentItemsetModel(minsup=self.minsup)
 
     def build(self, blocks) -> FrequentItemsetModel:
-        """``A_M(D, φ)``: Apriori over the given blocks."""
+        """``A_M(D, φ)``: Apriori over the given blocks' TID-lists.
+
+        Every observed item gets a tracked singleton, so the model's
+        item universe is exactly the union of the blocks' catalogs.
+        """
         block_list = list(blocks)
         if not block_list:
             return self.empty_model()
         for block in block_list:
             self.register_block(block)
         block_ids = [b.block_id for b in block_list]
-
-        def factory():
-            return self.context.block_store.scan_many(block_ids)
-
-        result = apriori(factory, self.minsup)
-        model = FrequentItemsetModel.from_mining_result(result, block_ids)
-        # Item universe must cover every observed item, not just those
-        # with tracked singletons (apriori tracks all, so this is a
-        # belt-and-braces union).
-        for block in block_list:
-            for transaction in block.iter_records():
-                model.items.update(transaction)
+        tidlists = self.context.tidlists
+        result = apriori(tidlists, block_ids, self.minsup)
+        model = FrequentItemsetModel(
+            minsup=self.minsup,
+            n_transactions=result.n_transactions,
+            frequent=result.frequent,
+            border=result.border,
+            items={
+                item
+                for block_id in block_ids
+                for item in tidlists.catalog(block_id)[0].tolist()
+            },
+            selected_block_ids=sorted(block_ids),
+        )
         if isinstance(self.counter, ECUTPlusCounter):
             for block in block_list:
                 if not self.context.pairs.has_block(block.block_id):
@@ -285,33 +349,23 @@ class BordersMaintainer(
         stats = MaintenanceStats()
         span = self.telemetry.phase("borders.detection").start()
 
-        # --- Detection phase: one scan of the new block ----------------
-        tracked = model.tracked()
-        tree = PrefixTree(tracked.keys()) if tracked else None
-        new_item_counts: dict[int, int] = {}
-        for transaction in self.context.block_store.scan(block.block_id):
-            if tree is not None:
-                tree.count_transaction(transaction)
-            for item in transaction:
-                if item not in model.items:
-                    new_item_counts[item] = new_item_counts.get(item, 0) + 1
-        if tree is not None:
-            for itemset, delta in tree.counts().items():
-                if itemset in model.frequent:
-                    model.frequent[itemset] += delta
-                else:
-                    model.border[itemset] += delta
+        # --- Detection phase: the new block's TID-lists ----------------
+        self._apply_block_counts(model, block.block_id, sign=1)
         model.n_transactions += len(block)
         model.selected_block_ids.append(block.block_id)
         model.selected_block_ids.sort()
 
         # Items never seen in a selected block before: their count over
-        # prior selected blocks is zero, so the block-local count is the
-        # global count.  Newly *frequent* items seed the update phase's
-        # candidate generation (they never sat in the border).
+        # prior selected blocks is zero, so the block-local count (the
+        # block catalog's list length) is the global count.  Newly
+        # *frequent* items seed the update phase's candidate generation
+        # (they never sat in the border).
         threshold = model.min_count
         seeds: dict[Itemset, int] = {}
-        for item, count in new_item_counts.items():
+        items, counts = self.context.tidlists.catalog(block.block_id)
+        for item, count in zip(items.tolist(), counts.tolist()):
+            if item in model.items:
+                continue
             model.items.add(item)
             singleton: Itemset = (item,)
             if count >= threshold:
@@ -331,10 +385,10 @@ class BordersMaintainer(
     ) -> FrequentItemsetModel:
         """Reverse a previously added block (§3.2.4).
 
-        The block is scanned once to decrement tracked counts; the same
-        detection/update machinery then restores the L/NB⁻ invariants
-        (deletions can both demote and promote itemsets, because the
-        denominator shrinks too).
+        Tracked counts are decremented by their counts on the block's
+        TID-lists; the same detection/update machinery then restores
+        the L/NB⁻ invariants (deletions can both demote and promote
+        itemsets, because the denominator shrinks too).
         """
         if block.block_id not in model.selected_block_ids:
             raise ValueError(
@@ -342,31 +396,42 @@ class BordersMaintainer(
             )
         stats = MaintenanceStats()
         span = self.telemetry.phase("borders.detection").start()
-        tracked = model.tracked()
-        if tracked:
-            tree = PrefixTree(tracked.keys())
-            tree.count_dataset(self.context.block_store.scan(block.block_id))
-            for itemset, delta in tree.counts().items():
-                if itemset in model.frequent:
-                    model.frequent[itemset] -= delta
-                else:
-                    model.border[itemset] -= delta
+        self._apply_block_counts(model, block.block_id, sign=-1)
         model.n_transactions -= len(block)
         model.selected_block_ids.remove(block.block_id)
-
-        # Drop items that vanished entirely from the selection.
-        for itemset in list(model.border):
-            if len(itemset) == 1 and model.border[itemset] <= 0:
-                del model.border[itemset]
-                model.items.discard(itemset[0])
-
         stats.detection_seconds = span.stop()
         self._rebalance(model, stats)
+
+        # Drop items that vanished entirely from the selection.  Only
+        # the block's own items lost counts, and once rebalanced a
+        # vanished item is a count-0 border singleton (a frequent one
+        # was demoted there, along with its supersets).
+        items, _ = self.context.tidlists.catalog(block.block_id)
+        for item in items.tolist():
+            if model.border.get((item,)) == 0:
+                del model.border[(item,)]
+                model.items.discard(item)
         self.diagnostics.record("borders.maintenance", stats)
         return model
 
     def clone(self, model: FrequentItemsetModel) -> FrequentItemsetModel:
         return model.copy()
+
+    def _apply_block_counts(
+        self, model: FrequentItemsetModel, block_id: int, sign: int
+    ) -> None:
+        """Add (``sign=1``) or subtract (``-1``) one block's counts of
+        every tracked itemset, counted on that block's TID-lists."""
+        frequent, border = model.frequent, model.border
+        counts = ECUTCounter(self.context.tidlists).count_batch(
+            [*frequent, *border], [block_id]
+        )
+        for itemset, count in counts.items():
+            if count:
+                if itemset in frequent:
+                    frequent[itemset] += sign * count
+                else:
+                    border[itemset] += sign * count
 
     # ------------------------------------------------------------------
     # Threshold changes (§3.1.1)
@@ -422,17 +487,15 @@ class BordersMaintainer(
             for itemset, count in model.frequent.items()
             if count < threshold
         }
-        for itemset in demoted:
-            del model.frequent[itemset]
         stats.demotions += len(demoted)
         if demoted:
-            frequent_set = set(model.frequent)
+            frequent_items = [x for x in model.items if (x,) in model.frequent]
+            for itemset in demoted:
+                del model.frequent[itemset]
             for itemset, count in demoted.items():
-                if is_on_border(itemset, frequent_set):
+                if is_on_border(itemset, model.frequent.keys()):
                     model.border[itemset] = count
-            for itemset in list(model.border):
-                if not is_on_border(itemset, frequent_set):
-                    del model.border[itemset]
+            self._drop_orphaned_border(model, demoted, frequent_items)
 
         # Promote border itemsets that crossed the threshold, then
         # expand: generate fresh candidates around everything that newly
@@ -477,6 +540,29 @@ class BordersMaintainer(
             "borders.candidates_counted", stats.candidates_counted
         )
 
+    @staticmethod
+    def _drop_orphaned_border(
+        model: FrequentItemsetModel,
+        demoted: dict[Itemset, int],
+        frequent_items: list[int],
+    ) -> None:
+        """Delete the border members that lost a subset to a demotion.
+
+        A member that was on the border had every immediate subset
+        frequent, so it fails the border condition now exactly when one
+        of those subsets was demoted: it is ``d ∪ {x}`` for a demoted
+        ``d`` and an item ``x`` whose singleton was frequent before the
+        demotions.  Counts are monotone, so every frequent superset of
+        ``d`` was demoted too, and nothing else can have left the
+        border.  Probing those ``|demoted| · |frequent items|``
+        extensions replaces rechecking every member of ``NB⁻``.
+        """
+        border = model.border
+        for base in demoted:
+            for item in frequent_items:
+                if item not in base:
+                    border.pop(tuple(sorted(base + (item,))), None)
+
     def _counting_phase(self) -> str:
         """Telemetry phase name of the configured support counter."""
         return "counting." + self.counter.name.lower().replace("-", "")
@@ -493,20 +579,30 @@ class BordersMaintainer(
         is huge this targeted pass costs more than regenerating from the
         whole of ``L``, so fall back to the global prefix join then.
         """
-        frequent_set = set(model.frequent)
-        tracked = frequent_set | set(model.border)
-        frequent_items = [x[0] for x in frequent_set if len(x) == 1]
-        if len(newly_frequent) * len(frequent_items) > 4 * len(frequent_set) + 10_000:
-            return generate_candidates(frequent_set) - tracked
+        frequent, border = model.frequent, model.border
+        frequent_items = [x for x in model.items if (x,) in frequent]
+        if len(newly_frequent) * len(frequent_items) > 4 * len(frequent) + 10_000:
+            levels: dict[int, list[Itemset]] = {}
+            for itemset in frequent:
+                levels.setdefault(len(itemset), []).append(itemset)
+            return {
+                candidate
+                for level in levels.values()
+                for candidate in map(tuple, join_level(np.array(level)).tolist())
+                if candidate not in frequent and candidate not in border
+            }
         result: set[Itemset] = set()
         for base in newly_frequent:
-            base_set = set(base)
             for item in frequent_items:
-                if item in base_set:
+                if item in base:
                     continue
                 candidate = tuple(sorted(base + (item,)))
-                if candidate in tracked or candidate in result:
+                if candidate in frequent or candidate in border or candidate in result:
                     continue
-                if all(s in frequent_set for s in proper_subsets(candidate)):
+                # A pair's subsets are ``base`` and ``(item,)``, both
+                # frequent; larger candidates need the full check.
+                if len(base) == 1 or all(
+                    s in frequent for s in proper_subsets(candidate)
+                ):
                     result.add(candidate)
         return result

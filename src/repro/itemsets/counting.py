@@ -15,7 +15,9 @@ The paper compares three ways to do it:
   when a block has them, fetching fewer and shorter lists.
 
 All three implement :class:`SupportCounter` so BORDERS treats them
-interchangeably.
+interchangeably.  The choice covers the update phase only: BORDERS'
+detection and its Apriori ``build`` always count with the ECUT engine
+on the blocks' own TID-lists (§3.1.1 additivity).
 
 Each counter additionally exposes :meth:`SupportCounter.count_batch`,
 the batched engine BORDERS actually calls: per block, the candidate set
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections.abc import Collection, Iterable, Sequence
+from itertools import chain
 from typing import Any, Union
 
 import numpy as np
@@ -291,10 +294,17 @@ def _count_trie(
 
 
 #: Cap on the dense engine's scratch matrices, in cells ((distinct
-#: lists + candidates) × block transactions; one byte per cell).  64M
-#: cells = 64 MB; blocks whose matrices would be larger fall back to
-#: the per-node trie DFS.
+#: lists + candidates of one row chunk) × block transactions; one byte
+#: per cell).  64M cells = 64 MB; blocks whose matrices would be larger
+#: fall back to the per-node trie DFS.
 DENSE_MAX_CELLS = 1 << 26
+
+#: Candidates per dense-engine pass.  A batch of ``n`` candidates needs
+#: an ``n × ceil(block_size / 8)`` running-intersection matrix plus
+#: same-sized temporaries; BORDERS' detection counts the whole tracked
+#: lattice (``|L ∪ NB⁻|``, often 10k+) on one block, so the rows are
+#: evaluated in chunks to bound that scratch memory.
+DENSE_CHUNK_ROWS = 2048
 
 _PAD = np.iinfo(np.int64).max
 
@@ -391,6 +401,7 @@ def _dense_count_block(
     key_nbytes: np.ndarray,
     block_size: int,
     supports: np.ndarray,
+    built: np.ndarray | None = None,
 ) -> None:
     """Level-synchronous dense evaluation of one block's batch.
 
@@ -414,9 +425,14 @@ def _dense_count_block(
     fetch (a recorded cache hit) or charges the store — and the block's
     ``bytes_read + bytes_cached`` equals what the per-itemset path
     charges, with ``bytes_read`` a deduplicated (≤) share of it.
+
+    ``built`` marks the keys already fetched for this block; callers
+    that split one block's batch into row chunks pass the same array to
+    every chunk, so each key is still charged once per block.
     """
     n_keys = len(key_lens)
-    built = np.zeros(n_keys, dtype=bool)
+    if built is None:
+        built = np.zeros(n_keys, dtype=bool)
     running = np.empty((len(S), keys_matrix.shape[1]), dtype=np.uint8)
     alive = last_col >= 0
     supports[~alive] += block_size
@@ -529,40 +545,44 @@ class ECUTCounter(SupportCounter):
 
         Orders every itemset's items rarest-first (the same order the
         per-itemset path fetches in), so itemsets sharing rare items
-        share both the fetches and the partial intersections.
+        share both the fetches and the partial intersections.  The
+        itemsets are encoded as item-index rows by array operations,
+        and the dense engine runs over :data:`DENSE_CHUNK_ROWS` rows at
+        a time.
         """
-        counts = {itemset: 0 for itemset in itemsets}
-        if not counts:
+        targets = list(dict.fromkeys(itemsets))
+        if not targets:
             return {}
-        targets = list(counts)
-        items = sorted({item for itemset in targets for item in itemset})
-        if not items:
+        n = len(targets)
+        lengths = np.fromiter(map(len, targets), dtype=np.int64, count=n)
+        flat = np.fromiter(
+            chain.from_iterable(targets), dtype=np.int64, count=int(lengths.sum())
+        )
+        if flat.size == 0:
             # Only empty itemsets: each counts every block in full.
             total = sum(self._tidlists.block_size(b) for b in block_ids)
-            return {itemset: total for itemset in counts}
+            return dict.fromkeys(targets, total)
         pool = self._pool
         if pool is not None and pool.workers > 1 and len(block_ids) > 1:
             sharded = self._count_batch_sharded(targets, list(block_ids), pool)
             if sharded is not None:
-                for r, itemset in enumerate(targets):
-                    counts[itemset] = sharded[r]
-                return counts
-        item_index = {item: k for k, item in enumerate(items)}
-        n = len(targets)
-        width = max(1, max(len(itemset) for itemset in targets))
+                return dict(zip(targets, sharded))
+        # T[r] = itemset r as indices into the sorted distinct items,
+        # -1-padded; filled in one scatter from the flattened itemsets.
+        items_array, flat_index = np.unique(flat, return_inverse=True)
+        width = int(lengths.max())
         T = np.full((n, width), -1, dtype=np.int64)
-        for r, itemset in enumerate(targets):
-            for c, item in enumerate(itemset):
-                T[r, c] = item_index[item]
-        last_col = np.fromiter(
-            (len(itemset) - 1 for itemset in targets), dtype=np.int64, count=n
+        starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
+        T[np.repeat(np.arange(n), lengths), np.arange(flat.size) - starts] = (
+            flat_index.reshape(-1)
         )
+        last_col = lengths - 1
         supports = np.zeros(n, dtype=np.int64)
-        item_arange = np.arange(len(items), dtype=np.int64)
-        items_array = np.asarray(items, dtype=np.int64)
+        n_items = len(items_array)
+        item_arange = np.arange(n_items, dtype=np.int64)
         for block_id in block_ids:
             block_size = self._tidlists.block_size(block_id)
-            if (len(items) + n) * block_size > DENSE_MAX_CELLS:
+            if (n_items + min(n, DENSE_CHUNK_ROWS)) * block_size > DENSE_MAX_CELLS:
                 # Oversized blocks fall back to the per-node trie DFS
                 # for scratch-size reasons.  Compressed (cold) blocks
                 # take the dense path like hot ones: the packed catalog
@@ -578,23 +598,26 @@ class ECUTCounter(SupportCounter):
             keys_matrix, block_counts, key_nbytes = self._tidlists.packed_rows(
                 block_id, items_array
             )
-            rank = block_counts * len(items) + item_arange
+            rank = block_counts * n_items + item_arange
             keyed = np.where(T >= 0, rank[T], _PAD)
             order = np.argsort(keyed, axis=1, kind="stable")
             S = np.take_along_axis(T, order, axis=1)
-            _dense_count_block(
-                S,
-                last_col,
-                _SingleKeyAccountant(self._tidlists.stats),
-                keys_matrix,
-                block_counts,
-                key_nbytes,
-                block_size,
-                supports,
-            )
-        for r, itemset in enumerate(targets):
-            counts[itemset] = int(supports[r])
-        return counts
+            accountant = _SingleKeyAccountant(self._tidlists.stats)
+            built = np.zeros(n_items, dtype=bool)
+            for start in range(0, n, DENSE_CHUNK_ROWS):
+                rows = slice(start, start + DENSE_CHUNK_ROWS)
+                _dense_count_block(
+                    S[rows],
+                    last_col[rows],
+                    accountant,
+                    keys_matrix,
+                    block_counts,
+                    key_nbytes,
+                    block_size,
+                    supports[rows],
+                    built,
+                )
+        return dict(zip(targets, supports.tolist()))
 
     def _count_batch_sharded(
         self, targets: list[Itemset], block_ids: list[int], pool: Any

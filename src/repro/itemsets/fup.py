@@ -14,7 +14,10 @@ BORDERS avoids by keeping the negative border.  The level-``k`` logic:
   a scan of the old database.
 
 The maintainer keeps only ``L`` (no negative border) — its whole point
-is what not having the border costs.
+is what not having the border costs.  Its pass over the increment
+counts on the increment's TID-lists with the same batched ECUT engine
+BORDERS' detection uses, so the §6 comparison differs only in what §6
+defines FUP by: the level-wise rescans of the old database.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from repro.contracts import maintainer_contract, pure_unless_cloned
 from repro.core.blocks import Block
 from repro.core.maintainer import IncrementalModelMaintainer
 from repro.itemsets.apriori import apriori
+from repro.itemsets.counting import ECUTCounter
 from repro.itemsets.itemset import (
     Itemset,
     Transaction,
@@ -118,6 +122,8 @@ class FUPMaintainer(IncrementalModelMaintainer[FrequentItemsetModel, Transaction
     ) -> FrequentItemsetModel:
         """FUP level-wise maintenance for one added block."""
         self._register(block)
+        if not self.context.tidlists.has_block(block.block_id):
+            self.context.tidlists.materialize_block(block)
         stats = FUPStats()
         span = self.telemetry.phase("fup.update").start()
 
@@ -127,17 +133,12 @@ class FUPMaintainer(IncrementalModelMaintainer[FrequentItemsetModel, Transaction
         threshold = minimum_count(self.minsup, new_total) if new_total else 1
         inc_threshold = minimum_count(self.minsup, inc_size) if inc_size else 1
 
-        # One scan of the increment: item counts plus counts of every
-        # previously frequent itemset.
+        # One pass over the increment: item counts (its catalog) plus
+        # counts of every previously frequent itemset.
         old_frequent = model.frequent
-        tree = PrefixTree(old_frequent.keys()) if old_frequent else None
-        item_counts: dict[int, int] = {}
-        for transaction in self.context.block_store.scan(block.block_id):
-            if tree is not None:
-                tree.count_transaction(transaction)
-            for item in transaction:
-                item_counts[item] = item_counts.get(item, 0) + 1
-        inc_counts = tree.counts() if tree is not None else {}
+        items, counts = self.context.tidlists.catalog(block.block_id)
+        item_counts = dict(zip(items.tolist(), counts.tolist()))
+        inc_counts = self._count_on_increment(list(old_frequent), block)
 
         new_frequent: dict[Itemset, int] = {}
 
@@ -219,11 +220,9 @@ class FUPMaintainer(IncrementalModelMaintainer[FrequentItemsetModel, Transaction
     def _count_on_increment(
         self, itemsets: list[Itemset], block: Block[Transaction]
     ) -> dict[Itemset, int]:
-        if not itemsets:
-            return {}
-        tree = PrefixTree(itemsets)
-        tree.count_dataset(block.iter_records())
-        return tree.counts()
+        return ECUTCounter(self.context.tidlists).count_batch(
+            itemsets, [block.block_id]
+        )
 
     def _count_over_old(
         self,

@@ -13,6 +13,8 @@ import math
 from collections.abc import Collection, Iterable, Iterator, Sequence
 from itertools import combinations
 
+import numpy as np
+
 #: Canonical itemset type: strictly increasing tuple of item ids.
 Itemset = tuple[int, ...]
 
@@ -104,6 +106,53 @@ def generate_candidates(frequent: Collection[Itemset]) -> set[Itemset]:
                     continue
                 if all(s in frequent_set for s in proper_subsets(joined)):
                     candidates.add(joined)
+    return candidates
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque, comparable key per row (its bytes, for membership)."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
+def join_level(level: np.ndarray) -> np.ndarray:
+    """:func:`generate_candidates` over an int-encoded level.
+
+    ``level`` holds the frequent k-itemsets (``k >= 1``) as the rows of
+    an ``(m, k)`` integer matrix, each row strictly increasing.  The
+    result holds the (k+1)-candidates as rows, in lexicographic order.
+    The prefix join pairs rows of one (k-1)-prefix run of the sorted
+    level; the prune looks up the k-subsets that are not join parents
+    by binary search over the level's row keys.
+    """
+    level = np.asarray(level, dtype=np.int64)
+    m, k = level.shape
+    level = level[np.lexsort(level.T[::-1])]
+    run_start = np.ones(m, dtype=bool)
+    run_start[1:] = np.any(level[1:, :-1] != level[:-1, :-1], axis=1)
+    starts = np.flatnonzero(run_start)
+    run_end = np.append(starts[1:], m)[np.cumsum(run_start) - 1]
+    partners = run_end - np.arange(m) - 1
+    total = int(partners.sum())
+    candidates = np.empty((total, k + 1), dtype=np.int64)
+    if total == 0:
+        return candidates
+    left = np.repeat(np.arange(m), partners)
+    right = left + 1 + np.arange(total) - np.repeat(
+        np.cumsum(partners) - partners, partners
+    )
+    candidates[:, :k] = level[left]
+    candidates[:, k] = level[right, k - 1]
+    if k > 1:
+        # Dropping either of the last two items gives a join parent;
+        # every other k-subset must be a row of the level.
+        keys = np.sort(_row_keys(level))
+        keep = np.ones(total, dtype=bool)
+        for drop in range(k - 1):
+            subsets = _row_keys(np.delete(candidates, drop, axis=1))
+            pos = np.minimum(np.searchsorted(keys, subsets), m - 1)
+            keep &= keys[pos] == subsets
+        candidates = candidates[keep]
     return candidates
 
 

@@ -28,6 +28,7 @@ fetched list would otherwise silently corrupt every later count.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -55,9 +56,35 @@ from repro.storage.iostats import IOStats, IOStatsRegistry
 __all__ = [
     "TID_BYTES",
     "TID_DTYPE",
+    "NonCanonicalTransactionError",
     "TidListStore",
     "intersect_sorted",
 ]
+
+
+class NonCanonicalTransactionError(ValueError):
+    """A transaction is not a strictly increasing tuple of item ids.
+
+    TID-lists are built with one tid appended per (transaction, item)
+    occurrence, so a repeated item would get its tid twice and its
+    support would exceed the number of transactions holding it.  Every
+    count BORDERS takes comes from these lists, so the store refuses
+    such a block instead of building wrong ones.
+
+    Attributes:
+        block_id: The block holding the transaction.
+        record_index: Position of the transaction within the block.
+        transaction: The offending transaction.
+    """
+
+    def __init__(self, block_id: int, record_index: int, transaction: Sequence[int]):
+        self.block_id = block_id
+        self.record_index = record_index
+        self.transaction = tuple(transaction)
+        super().__init__(
+            f"block {block_id}, record {record_index}: transaction "
+            f"{self.transaction} is not sorted and duplicate-free"
+        )
 
 
 def intersect_sorted(lists: Sequence[np.ndarray]) -> np.ndarray:
@@ -70,6 +97,25 @@ def intersect_sorted(lists: Sequence[np.ndarray]) -> np.ndarray:
     read-only precisely to catch that.
     """
     return as_array(intersect_many(lists))
+
+
+def _check_canonical(block_id: int, items: np.ndarray, ends: np.ndarray) -> None:
+    """Raise unless every transaction's items strictly increase.
+
+    ``items`` is the block's transactions concatenated and ``ends[r]``
+    the end offset of transaction ``r`` in it.
+    """
+    rising = items[1:] > items[:-1]
+    # Steps across a transaction boundary compare different records.
+    boundaries = ends[:-1] - 1
+    rising[boundaries[(boundaries >= 0) & (boundaries < len(rising))]] = True
+    if rising.all():
+        return
+    position = int(np.argmin(rising))
+    record = int(np.searchsorted(ends, position, side="right"))
+    start = int(ends[record - 1]) if record else 0
+    transaction = items[start : int(ends[record])].tolist()
+    raise NonCanonicalTransactionError(block_id, record, transaction)
 
 
 class TidListStore:
@@ -111,37 +157,56 @@ class TidListStore:
         """Build the TID-lists of all items for one arriving block.
 
         Transaction identifiers continue the global sequence.  The block
-        is scanned once; the scan itself is not charged here (the caller
-        typically scans the block anyway to update the model and charges
-        that scan to the block store).  Items holding at least
+        is read once and the lists are cut from one stable sort of its
+        (item, tid) occurrences; the read is not charged here (the
+        block store charges it when the caller appends the block).
+        Items holding at least
         :data:`~repro.itemsets.kernels.BITMAP_DENSITY` of a block of at
         least :data:`~repro.itemsets.kernels.BITMAP_MIN_BLOCK`
         transactions are packed into bitmaps; everything else stays a
         frozen sorted array.
+
+        Raises:
+            NonCanonicalTransactionError: A transaction is not strictly
+                increasing (e.g. it repeats an item); the store is left
+                unchanged.
         """
         if block.block_id in self._lists:
             raise ValueError(f"TID-lists for block {block.block_id} already built")
-        buffers: dict[int, list[int]] = {}
-        base = self._next_tid
-        tid = base
+        lengths: list[int] = []
+        flat: list[int] = []
         for chunk in block.iter_chunks():
-            for transaction in chunk:
-                for item in transaction:
-                    buffers.setdefault(item, []).append(tid)
-                tid += 1
-        self._next_tid = tid
-        size = block.num_records
+            lengths.extend(map(len, chunk))
+            flat.extend(chain.from_iterable(chunk))
+        size = len(lengths)
+        lens = np.asarray(lengths, dtype=np.int64)
+        items = np.asarray(flat, dtype=np.int64)
+        ends = np.cumsum(lens)
+        _check_canonical(block.block_id, items, ends)
+        base = self._next_tid
+        tids = np.repeat(np.arange(base, base + size, dtype=TID_DTYPE), lens)
+        # A stable sort by item keeps each item's tids ascending; the
+        # runs of equal items are the per-item lists.
+        order = np.argsort(items, kind="stable")
+        items = items[order]
+        tids = tids[order]
+        first = np.ones(len(items), dtype=bool)
+        first[1:] = items[1:] != items[:-1]
+        run_starts = np.flatnonzero(first)
+        starts = run_starts.tolist()
+        stops = run_starts[1:].tolist() + [len(items)]
         dense_cutoff = (
             BITMAP_DENSITY * size if size >= BITMAP_MIN_BLOCK else float("inf")
         )
         block_lists: dict[int, TidList] = {}
-        for item, tids in buffers.items():
-            array = np.asarray(tids, dtype=TID_DTYPE)
+        for item, start, stop in zip(items[run_starts].tolist(), starts, stops):
+            array = tids[start:stop].copy()
             array.flags.writeable = False
-            if len(tids) >= dense_cutoff:
+            if stop - start >= dense_cutoff:
                 block_lists[item] = BitmapTidList.from_array(array, base, size)
             else:
                 block_lists[item] = array
+        self._next_tid = base + size
         self._lists[block.block_id] = block_lists
         self._block_sizes[block.block_id] = size
         self._base_tids[block.block_id] = base
@@ -349,11 +414,14 @@ class TidListStore:
             result[item] = 0 if tids is None else len(tids)
         return result
 
-    def _catalog(self, block_id: int) -> tuple[np.ndarray, np.ndarray]:
-        """Lazily-built (sorted items, lengths) arrays for one block.
+    def catalog(self, block_id: int) -> tuple[np.ndarray, np.ndarray]:
+        """Every item of one block with its count, as sorted arrays.
 
-        Blocks are immutable once materialized, so the catalog is built
-        at most once per block and dropped with the block.
+        A list's length is the item's support in the block, so the
+        catalog is the block's item counts — catalog metadata, read
+        without charging a fetch.  Blocks are immutable once
+        materialized, so the catalog is built at most once per block
+        and dropped with the block.  The arrays are read-only.
         """
         catalog = self._catalogs.get(block_id)
         if catalog is None:
@@ -368,6 +436,8 @@ class TidListStore:
             )
             order = np.argsort(items)
             catalog = (items[order], counts[order])
+            for array in catalog:
+                array.flags.writeable = False
             self._catalogs[block_id] = catalog
         return catalog
 
@@ -379,7 +449,7 @@ class TidListStore:
         block, where a Python-loop lookup would dominate its runtime.
         Items absent from the block get length 0.
         """
-        cat_items, cat_counts = self._catalog(block_id)
+        cat_items, cat_counts = self.catalog(block_id)
         if len(cat_items) == 0:
             return np.zeros(len(items), dtype=np.int64)
         pos = np.searchsorted(cat_items, items)
@@ -399,7 +469,7 @@ class TidListStore:
         """
         packed = self._packed.get(block_id)
         if packed is None:
-            cat_items, cat_counts = self._catalog(block_id)
+            cat_items, cat_counts = self.catalog(block_id)
             block_lists = self._block_lists(block_id)
             size = self._block_sizes[block_id]
             base = self._base_tids[block_id]
@@ -442,7 +512,7 @@ class TidListStore:
         absent from the block get an all-zero row and size 0.  Returns
         fresh (writable) arrays; the underlying cache is frozen.
         """
-        cat_items, cat_counts = self._catalog(block_id)
+        cat_items, cat_counts = self.catalog(block_id)
         matrix, cat_nbytes = self._packed_catalog(block_id)
         n = len(items)
         if len(cat_items) == 0:

@@ -160,6 +160,32 @@ class TestThresholdChange:
             model.raise_threshold(0.05)
 
 
+class TestTidListCounting:
+    """Build, detection and deletion count on TID-lists (§3.1.1
+    additivity); with the ECUT update counter no block is ever scanned."""
+
+    def test_no_block_store_reads(self):
+        blocks = transaction_blocks(3, 200, seed=5)
+        maintainer = BordersMaintainer(MINSUP, counter="ecut")
+        model = maintainer.build(blocks[:1])
+        for block in blocks[1:]:
+            model = maintainer.add_block(model, block)
+        model = maintainer.delete_block(model, blocks[0])
+        assert maintainer.context.block_store.stats.bytes_read == 0
+        assert maintainer.context.tidlists.stats.bytes_read > 0
+        truth = mine_blocks(blocks[1:], MINSUP)
+        assert model.frequent == truth.frequent
+        assert model.border == truth.border
+
+    def test_build_counts_equal_scan_apriori(self):
+        blocks = transaction_blocks(2, 250, seed=13)
+        model = BordersMaintainer(MINSUP, counter="ptscan").build(blocks)
+        truth = mine_blocks(blocks, MINSUP)
+        assert model.frequent == truth.frequent
+        assert model.border == truth.border
+        assert model.items == {item for block in blocks for t in block.tuples for item in t}
+
+
 class TestMaintainerMechanics:
     def test_register_block_is_idempotent(self):
         blocks = transaction_blocks(1, 50)

@@ -75,6 +75,24 @@ class TestFUPCost:
         assert maintainer.last_stats.levels >= 1
 
 
+    def test_increment_is_counted_on_its_tidlists(self):
+        """The pass over the increment reads TID-lists, not the block
+        store; block-store reads are the old-database rescans alone."""
+        blocks = transaction_blocks(2, 300, seed=7)
+        maintainer = FUPMaintainer(MINSUP)
+        model = maintainer.build(blocks[:1])
+        context = maintainer.context
+        scanned = context.block_store.stats.bytes_read
+        fetched = context.tidlists.stats.bytes_read
+        model = maintainer.add_block(model, blocks[1])
+        rescans = maintainer.last_stats.old_db_scans
+        assert context.block_store.stats.bytes_read - scanned == (
+            rescans * context.block_store.nbytes(1)
+        )
+        assert context.tidlists.stats.bytes_read > fetched
+        assert model.frequent == mine_blocks(blocks, MINSUP).frequent
+
+
 class TestFUPMechanics:
     def test_empty_model(self):
         assert FUPMaintainer(0.1).empty_model().frequent == {}

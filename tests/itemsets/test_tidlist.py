@@ -5,7 +5,12 @@ import pytest
 
 from repro.core.blocks import make_block
 from repro.itemsets.itemset import contains
-from repro.itemsets.tidlist import TID_BYTES, TidListStore, intersect_sorted
+from repro.itemsets.tidlist import (
+    TID_BYTES,
+    NonCanonicalTransactionError,
+    TidListStore,
+    intersect_sorted,
+)
 from repro.storage.iostats import IOStatsRegistry
 
 
@@ -126,6 +131,41 @@ class TestTidListStore:
         assert store.count_itemset_in_block(1, (1, 99)) == 0
         # Item 99 (empty list) is fetched first; item 1 is never read.
         assert store.stats.reads == before + 1
+
+
+class TestCanonicalTransactions:
+    def test_duplicate_item_is_rejected(self):
+        # Item 1 appears twice in record 0: built naively its list would
+        # be [0, 0, 1], a support of 3 over 2 transactions.
+        store = TidListStore()
+        block = make_block(1, [(3, 1, 1, 2), (2, 1)])
+        with pytest.raises(NonCanonicalTransactionError) as caught:
+            store.materialize_block(block)
+        assert caught.value.block_id == 1
+        assert caught.value.record_index == 0
+        assert "block 1, record 0" in str(caught.value)
+        assert isinstance(caught.value, ValueError)
+
+    def test_unsorted_record_is_rejected_with_its_index(self):
+        store = TidListStore()
+        with pytest.raises(NonCanonicalTransactionError) as caught:
+            store.materialize_block(make_block(4, [(1, 2), (1, 3), (3, 2)]))
+        assert (caught.value.block_id, caught.value.record_index) == (4, 2)
+
+    def test_rejected_block_leaves_store_unchanged(self):
+        store = TidListStore()
+        with pytest.raises(NonCanonicalTransactionError):
+            store.materialize_block(make_block(1, [(1, 2), (2, 2)]))
+        assert not store.has_block(1)
+        store.materialize_block(BLOCK1)
+        assert store.base_tid(1) == 0
+
+    def test_catalog_is_the_block_item_counts(self):
+        store = store_with_blocks()
+        items, counts = store.catalog(2)
+        assert items.tolist() == [1, 2, 3]
+        assert counts.tolist() == [2, 2, 2]
+        assert not items.flags.writeable and not counts.flags.writeable
 
 
 class TestReadOnlyMaterialization:

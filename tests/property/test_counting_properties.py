@@ -108,6 +108,49 @@ class TestBatchedECUT:
             counting.DENSE_MAX_CELLS = original
 
 
+    @settings(max_examples=25, deadline=None)
+    @given(blocks_strategy, targets_strategy, st.integers(min_value=1, max_value=3))
+    def test_row_chunks_keep_supports_and_io(self, raw, targets, chunk_rows):
+        blocks, context = build(raw)
+        counter = ECUTCounter(context.tidlists)
+        block_ids = [b.block_id for b in blocks]
+        stats = context.tidlists.stats
+        before = stats.snapshot()
+        expected = counter.count_batch(targets, block_ids)
+        whole = stats.delta_since(before)
+        original = counting.DENSE_CHUNK_ROWS
+        counting.DENSE_CHUNK_ROWS = chunk_rows
+        try:
+            before = stats.snapshot()
+            assert counter.count_batch(targets, block_ids) == expected
+            assert stats.delta_since(before) == whole
+        finally:
+            counting.DENSE_CHUNK_ROWS = original
+
+
+class TestMaterializedLists:
+    @settings(max_examples=40, deadline=None)
+    @given(blocks_strategy)
+    def test_lists_match_a_per_transaction_loop(self, raw):
+        blocks, context = build(raw)
+        base = 0
+        for block in blocks:
+            expected: dict[int, list[int]] = {}
+            for offset, transaction in enumerate(block.tuples):
+                for item in transaction:
+                    expected.setdefault(item, []).append(base + offset)
+            got = {
+                item: context.tidlists.fetch(block.block_id, item).tolist()
+                for item in expected
+            }
+            assert got == expected
+            items, counts = context.tidlists.catalog(block.block_id)
+            assert dict(zip(items.tolist(), counts.tolist())) == {
+                item: len(tids) for item, tids in expected.items()
+            }
+            base += len(block.tuples)
+
+
 class TestBatchedECUTPlus:
     @settings(max_examples=30, deadline=None)
     @given(blocks_strategy, targets_strategy)

@@ -1,11 +1,13 @@
 """Property-based tests (hypothesis) for itemset primitives."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.itemsets.itemset import (
     contains,
     generate_candidates,
+    join_level,
     make_itemset,
     minimum_count,
     normalize_transaction,
@@ -101,3 +103,25 @@ class TestMinimumCount:
         assert threshold / total >= minsup - 1e-9
         if threshold > 1:
             assert (threshold - 1) / total < minsup
+
+
+class TestJoinLevel:
+    @settings(max_examples=100)
+    @given(st.integers(min_value=1, max_value=4), st.data())
+    def test_matches_generate_candidates(self, k, data):
+        level = data.draw(
+            st.sets(
+                st.sets(st.integers(min_value=0, max_value=9), min_size=k, max_size=k)
+                .map(lambda s: tuple(sorted(s))),
+                max_size=30,
+            )
+        )
+        # Any row order in, lexicographic rows out.
+        rows = data.draw(st.permutations(sorted(level)))
+        matrix = np.array(rows, dtype=np.int64).reshape(-1, k)
+        joined = [tuple(row) for row in join_level(matrix).tolist()]
+        assert joined == sorted(generate_candidates(level))
+
+    def test_empty_and_single_row_levels_join_to_nothing(self):
+        assert join_level(np.empty((0, 2), dtype=np.int64)).shape == (0, 3)
+        assert join_level(np.array([[1, 2]])).shape == (0, 3)
