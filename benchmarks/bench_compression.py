@@ -35,7 +35,14 @@ import time
 
 import pytest
 
-from benchmarks.common import SCALE, emit_json, fmt_ms, print_table, scaled
+from benchmarks.common import (
+    CHILD_PEAK_RSS_SOURCE,
+    SCALE,
+    emit_json,
+    fmt_ms,
+    print_table,
+    scaled,
+)
 from repro.datagen.quest import QuestGenerator, QuestParams
 from repro.storage.engine import MmapBackend, TieredBackend
 
@@ -130,8 +137,8 @@ def test_cold_blocks_halve_disk_bytes(benchmark, tmp_path):
 # Peak-RSS guard
 # ----------------------------------------------------------------------
 
-_RSS_CHILD = """
-import resource, sys, tempfile
+_RSS_CHILD = CHILD_PEAK_RSS_SOURCE + """
+import sys, tempfile
 from repro.storage.engine import MmapBackend, TieredBackend
 
 kind, rows, width, n_blocks = (
@@ -165,7 +172,7 @@ total = 0
 for dirpath, _dirs, files in os.walk(root):
     for name in files:
         total += os.path.getsize(os.path.join(dirpath, name))
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, total)
+print(own_peak_rss_kb(), total)
 """
 
 

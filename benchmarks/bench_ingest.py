@@ -28,7 +28,13 @@ import time
 
 import pytest
 
-from benchmarks.common import emit_json, fmt_ms, print_table, scaled
+from benchmarks.common import (
+    CHILD_PEAK_RSS_SOURCE,
+    emit_json,
+    fmt_ms,
+    print_table,
+    scaled,
+)
 from repro.datagen.quest import QuestGenerator, QuestParams
 from repro.storage.engine import InMemoryBackend, MmapBackend
 
@@ -120,8 +126,8 @@ def test_chunk_size_ablation(benchmark, chunk_size, tmp_path):
 # Peak-RSS guard
 # ----------------------------------------------------------------------
 
-_RSS_CHILD = """
-import resource, sys, tempfile
+_RSS_CHILD = CHILD_PEAK_RSS_SOURCE + """
+import sys, tempfile
 from repro.storage.engine import InMemoryBackend, MmapBackend
 
 kind, rows, width = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
@@ -141,7 +147,7 @@ seen = 0
 for chunk in block.iter_chunks():
     seen += len(chunk)
 assert seen == rows
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+print(own_peak_rss_kb())
 """
 
 

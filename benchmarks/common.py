@@ -112,6 +112,27 @@ def print_table(title: str, headers: list[str], rows: list[list]) -> None:
         sink.write(text + "\n")
 
 
+#: Source of ``own_peak_rss_kb()``, prepended to the scripts that the
+#: peak-RSS guards run in child processes.  On Linux ``ru_maxrss``
+#: survives ``exec`` and so includes the RSS the parent had when it
+#: forked the child: a parent holding 400 MB makes an ~13 MB child
+#: report ~420 MB.  ``VmHWM`` is the high-water mark of the child's own
+#: address space; ``ru_maxrss`` is the fallback where ``/proc`` is
+#: absent.
+CHILD_PEAK_RSS_SOURCE = """
+def own_peak_rss_kb():
+    import resource
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+"""
+
+
 def fmt_ms(seconds: float) -> str:
     """Milliseconds with one decimal, as a string."""
     return f"{seconds * 1e3:.1f}"

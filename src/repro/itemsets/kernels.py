@@ -185,30 +185,70 @@ class DeltaVarintTidList:
         cls, tids: np.ndarray, base: int, size: int
     ) -> "DeltaVarintTidList":
         """Compress a sorted tid array from one block."""
-        from ..storage.codecs import DeltaVarintCodec
+        return cls.from_arrays([tids], base, size)[0]
 
-        array = np.asarray(tids, dtype=TID_DTYPE)
-        codec = DeltaVarintCodec()
-        parts: list[bytes] = []
-        offsets = [0]
-        for start in range(0, len(array), VARINT_SEGMENT):
-            segment = array[start : start + VARINT_SEGMENT]
-            parts.append(codec.encode(segment))
-            offsets.append(offsets[-1] + len(parts[-1]))
-        n_segments = len(parts)
-        firsts = array[::VARINT_SEGMENT].copy()
-        lasts = array[VARINT_SEGMENT - 1 :: VARINT_SEGMENT]
-        if len(lasts) < n_segments:
-            lasts = np.concatenate((lasts, array[-1:]))
-        else:
-            lasts = lasts.copy()
-        firsts.flags.writeable = False
-        lasts.flags.writeable = False
-        offset_array = np.asarray(offsets, dtype=np.int64)
-        offset_array.flags.writeable = False
-        return cls(
-            b"".join(parts), offset_array, firsts, lasts, base, size, len(array)
+    @classmethod
+    def from_arrays(
+        cls, arrays: Sequence[np.ndarray], base: int, size: int
+    ) -> list["DeltaVarintTidList"]:
+        """Compress many sorted tid arrays from one block in one pass.
+
+        The arrays are concatenated and encoded by a single
+        :func:`~repro.storage.codecs.encode_delta_varint_segments` call
+        whose delta chain restarts at every list start and every
+        :data:`VARINT_SEGMENT` values within a list; each list's blob,
+        offsets and segment ranges are then sliced out of the shared
+        result.  Every list is byte-identical to what compressing it
+        alone produces.
+        """
+        from ..storage.codecs import encode_delta_varint_segments
+
+        if not arrays:
+            return []
+        n_lists = len(arrays)
+        counts = np.fromiter(map(len, arrays), dtype=np.int64, count=n_lists)
+        values = np.concatenate(arrays).astype(TID_DTYPE, copy=False)
+        list_starts = np.cumsum(counts) - counts
+        n_segments = -(-counts // VARINT_SEGMENT)
+        segment_stops = np.cumsum(n_segments)
+        segment_starts = segment_stops - n_segments
+        owner = np.repeat(np.arange(n_lists), n_segments)
+        rank = np.arange(len(owner)) - segment_starts[owner]
+        starts = list_starts[owner] + rank * VARINT_SEGMENT
+        stops = np.minimum(starts + VARINT_SEGMENT, (list_starts + counts)[owner])
+        blob, offsets = encode_delta_varint_segments(values, starts)
+        firsts = values[starts]
+        lasts = values[stops - 1]
+        # List i's offsets (its segments' plus a sentinel, rebased to
+        # its own blob) sit at entries segment_starts[i] + i onward, so
+        # entry k reads segment offset k - i.
+        entry_owner = np.repeat(np.arange(n_lists), n_segments + 1)
+        first_entry = segment_starts + np.arange(n_lists)
+        relative = (
+            offsets[np.arange(len(entry_owner)) - entry_owner]
+            - offsets[segment_starts][entry_owner]
         )
+        for shared in (firsts, lasts, relative):
+            shared.flags.writeable = False
+        return [
+            cls(
+                blob[lo:hi],
+                relative[entry : entry + segment_hi - segment_lo + 1],
+                firsts[segment_lo:segment_hi],
+                lasts[segment_lo:segment_hi],
+                base,
+                size,
+                count,
+            )
+            for lo, hi, entry, segment_lo, segment_hi, count in zip(
+                offsets[segment_starts].tolist(),
+                offsets[segment_stops].tolist(),
+                first_entry.tolist(),
+                segment_starts.tolist(),
+                segment_stops.tolist(),
+                counts.tolist(),
+            )
+        ]
 
     def __len__(self) -> int:
         return self.count
@@ -508,26 +548,39 @@ CompressedTidList = Union[DeltaVarintTidList, ChunkedTidList]
 _COMPRESSED_TYPES = (DeltaVarintTidList, ChunkedTidList)
 
 
-def compress_list(tids: TidList, base: int, size: int) -> TidList:
-    """Re-encode one list for the cold tier, keeping the smaller form.
+def compress_lists(
+    lists: Sequence[TidList], base: int, size: int
+) -> list[TidList]:
+    """Re-encode one block's lists for the cold tier, keeping the smaller forms.
 
     Sorted arrays become :class:`DeltaVarintTidList`s (typically 1-2
-    bytes per tid against :data:`TID_BYTES`); dense bitmaps become
-    roaring :class:`ChunkedTidList`s.  Either conversion is kept only
-    when it actually shrinks the list — a packed bitmap at exactly the
+    bytes per tid against :data:`TID_BYTES`), all of them in one
+    vectorized pass (:meth:`DeltaVarintTidList.from_arrays`); dense
+    bitmaps, which are rare, become roaring :class:`ChunkedTidList`s
+    one at a time.  Either conversion is kept only when it actually
+    shrinks the list — a packed bitmap at exactly the
     :data:`BITMAP_DENSITY` cutoff is already near-optimal, and a
     two-element array has nothing to gain — so compressing never grows
-    a block.  The choice depends only on the list's contents, keeping
+    a block.  The choice depends only on each list's contents, keeping
     it deterministic across backends and restarts.  Already-compressed
     lists pass through unchanged.
     """
-    if isinstance(tids, _COMPRESSED_TYPES):
-        return tids
-    if isinstance(tids, BitmapTidList):
-        chunked = ChunkedTidList.from_array(tids.to_array(), base, size)
-        return chunked if chunked.nbytes < tids.nbytes else tids
-    varint = DeltaVarintTidList.from_array(tids, base, size)
-    return varint if varint.nbytes < list_nbytes(tids) else tids
+    result = list(lists)
+    array_slots = [
+        index for index, tids in enumerate(result) if isinstance(tids, np.ndarray)
+    ]
+    varints = DeltaVarintTidList.from_arrays(
+        [result[index] for index in array_slots], base, size
+    )
+    for index, varint in zip(array_slots, varints):
+        if varint.nbytes < TID_BYTES * varint.count:
+            result[index] = varint
+    for index, tids in enumerate(result):
+        if isinstance(tids, BitmapTidList):
+            chunked = ChunkedTidList.from_array(tids.to_array(), base, size)
+            if chunked.nbytes < tids.nbytes:
+                result[index] = chunked
+    return result
 
 
 def list_len(tids: TidList) -> int:

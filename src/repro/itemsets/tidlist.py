@@ -45,7 +45,7 @@ from repro.itemsets.kernels import (
     DeltaVarintTidList,
     TidList,
     as_array,
-    compress_list,
+    compress_lists,
     intersect_many,
     intersect_pair,
     list_nbytes,
@@ -250,7 +250,8 @@ class TidListStore:
         Called by the session when the block expires from the most
         recent window: the lists stay selectable by window-independent
         BSSes, but cold — sorted arrays become segmented delta+varint
-        blobs, dense bitmaps become roaring-style container sets, and
+        blobs (all of the block's in one vectorized pass), dense
+        bitmaps become roaring-style container sets, and
         counting proceeds in the compressed domain
         (:mod:`repro.itemsets.kernels`).  Fetch charges shrink to the
         compressed physical sizes.  Idempotent; returns the compressed
@@ -263,10 +264,10 @@ class TidListStore:
             return 0
         base = self._base_tids[block_id]
         size = self._block_sizes[block_id]
-        compressed = {
-            item: compress_list(tids, base, size)
-            for item, tids in self._block_lists(block_id).items()
-        }
+        block_lists = self._block_lists(block_id)
+        compressed = dict(
+            zip(block_lists, compress_lists(list(block_lists.values()), base, size))
+        )
         self._lists[block_id] = compressed
         self._catalogs.pop(block_id, None)
         self._packed.pop(block_id, None)

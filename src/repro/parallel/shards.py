@@ -18,11 +18,12 @@ The payload protocol (DML017-audited via :func:`worker_entry`) ships
   .worker_payload`), else ``("blob", pickle-bytes)``.
 
 Workers cache what is safe to cache: single-block TID-list stores
-keyed by mmap path (:func:`count_shard`) and spec-built maintainer
-replicas keyed by their spec with a ``block id -> path`` registration
-map (:func:`maintain_shard`).  Inline refs are never cached — the
-parent's records may differ between calls under the same block id —
-which is one of the "when workers lose" cases in docs/PERFORMANCE.md.
+keyed by path, block id and directory identity (:func:`count_shard`)
+and spec-built maintainer replicas keyed by their spec with a
+``block id -> path`` registration map (:func:`maintain_shard`).
+Inline refs are never cached — the parent's records may differ between
+calls under the same block id — which is one of the "when workers
+lose" cases in docs/PERFORMANCE.md.
 
 Byte-identity: count vectors merge by TID-list additivity (§2.2);
 maintenance results are pickled models whose bytes the parent adopts
@@ -62,10 +63,11 @@ REF_PACKED = "packed"
 #: replicas built from them are cacheable worker-side.
 _PATH_REF_KINDS = (REF_MMAP, REF_PACKED)
 
-#: Worker-resident single-block TID-list stores, keyed by mmap path.
-#: Bounded: cleared wholesale when it grows past the cap (workers are
-#: long-lived across many observes; stores hold materialized lists).
-_COUNT_STORES: dict[str, Any] = {}
+#: Worker-resident single-block TID-list stores, keyed by
+#: :func:`_count_store_key`.  Bounded: cleared wholesale when it grows
+#: past the cap (workers are long-lived across many observes; stores
+#: hold materialized lists).
+_COUNT_STORES: dict[tuple[str, int, int, int], Any] = {}
 _COUNT_STORE_CAP = 64
 
 #: Spec-built maintainer replicas, keyed by the pickled spec, carrying
@@ -152,19 +154,35 @@ def resolve_block(ref: Sequence[Any]) -> Block[Any]:
     return Block(block_id, label=label, metadata=metadata, data=data)
 
 
+def _count_store_key(ref: Sequence[Any]) -> tuple[str, int, int, int]:
+    """What a cached count store must match: path, block id and directory.
+
+    A path alone does not name a block: an :class:`MmapBackend` names
+    directories by its own ingest sequence, so a session restored onto
+    the same root can write another block, or the same block again,
+    under a path a worker has already cached.  Publishing a directory
+    replaces its ``meta.json`` (``os.replace``), which gives the file a
+    new inode and modification time, so those two stand for the
+    directory's contents.
+    """
+    path = ref[4]
+    status = os.stat(os.path.join(path, "meta.json"))
+    return path, ref[1], status.st_ino, status.st_mtime_ns
+
+
 def _count_store(ref: Sequence[Any]) -> Any:
-    """A TID-list store holding exactly this ref's block, cached by path."""
+    """A TID-list store holding exactly this ref's block, cached by identity."""
     from repro.itemsets.tidlist import TidListStore
 
     if ref[0] in _PATH_REF_KINDS:
-        path = ref[4]
-        store = _COUNT_STORES.get(path)
+        key = _count_store_key(ref)
+        store = _COUNT_STORES.get(key)
         if store is None:
             if len(_COUNT_STORES) >= _COUNT_STORE_CAP:
                 _COUNT_STORES.clear()
             store = TidListStore()
             store.materialize_block(resolve_block(ref))
-            _COUNT_STORES[path] = store
+            _COUNT_STORES[key] = store
         return store
     store = TidListStore()
     store.materialize_block(resolve_block(ref))

@@ -51,6 +51,7 @@ __all__ = [
     "RawCodec",
     "RawU16Codec",
     "deflate",
+    "encode_delta_varint_segments",
     "inflate",
     "resolve_codec",
 ]
@@ -121,6 +122,54 @@ def _unzigzag(encoded: np.ndarray) -> np.ndarray:
     ).astype(np.int64)
 
 
+def encode_delta_varint_segments(
+    values: np.ndarray, starts: np.ndarray
+) -> tuple[bytes, np.ndarray]:
+    """Delta+varint-encode many segments of one array in a single pass.
+
+    ``starts`` holds the strictly increasing index of each segment's
+    first value (``starts[0] == 0`` unless ``values`` is empty).  The
+    delta chain restarts at every segment, so each segment's bytes are
+    exactly :meth:`DeltaVarintCodec.encode` of that segment alone.
+    This is the only varint writer: the codec encodes one segment with
+    it, and the cold tier encodes every list of a block at once
+    (:meth:`repro.itemsets.kernels.DeltaVarintTidList.from_arrays`).
+
+    Returns:
+        The concatenated payload and the byte offset of each segment in
+        it, plus a final sentinel equal to the payload length
+        (``len(starts) + 1`` ``int64`` values).
+    """
+    array = _as_int64(values)
+    starts = np.asarray(starts, dtype=np.int64)
+    if len(array) == 0:
+        return b"", np.zeros(len(starts) + 1, dtype=np.int64)
+    deltas = np.empty(len(array), dtype=np.int64)
+    np.subtract(array[1:], array[:-1], out=deltas[1:])
+    deltas[starts] = array[starts]
+    encoded = _zigzag(deltas)
+    # Bytes needed per value: one comparison per 7-bit threshold below
+    # the widest value's.
+    width = max(1, -(-int(encoded.max()).bit_length() // 7))
+    nbytes = np.ones(len(encoded), dtype=np.int64)
+    for shift in range(7, 7 * width, 7):
+        nbytes += encoded >= _U64(1) << _U64(shift)
+    positions = np.arange(width, dtype=np.int64)
+    shifts = (_SEVEN * positions.astype(_U64))[None, :]
+    payload = ((encoded[:, None] >> shifts) & _LOW7).astype(np.uint8)
+    keep = positions[None, :] < nbytes[:, None]
+    continued = positions[None, :] < (nbytes - 1)[:, None]
+    payload |= continued.astype(np.uint8) << np.uint8(7)
+    ends = np.empty(len(array) + 1, dtype=np.int64)
+    ends[0] = 0
+    np.cumsum(nbytes, out=ends[1:])
+    offsets = np.empty(len(starts) + 1, dtype=np.int64)
+    offsets[:-1] = ends[starts]
+    offsets[-1] = ends[-1]
+    # Row-major boolean selection emits each value's bytes in order.
+    return payload[keep].tobytes(), offsets
+
+
 class DeltaVarintCodec:
     """Zigzag deltas in LEB128 varints, vectorized both ways.
 
@@ -133,24 +182,8 @@ class DeltaVarintCodec:
 
     def encode(self, values: np.ndarray) -> bytes:
         array = _as_int64(values)
-        if len(array) == 0:
-            return b""
-        deltas = np.empty(len(array), dtype=np.int64)
-        deltas[0] = array[0]
-        np.subtract(array[1:], array[:-1], out=deltas[1:])
-        encoded = _zigzag(deltas)
-        # Bytes needed per value: one comparison per 7-bit threshold.
-        nbytes = np.ones(len(encoded), dtype=np.int64)
-        for shift in range(7, 64, 7):
-            nbytes += encoded >= _U64(1) << _U64(shift)
-        positions = np.arange(_MAX_VARINT_BYTES, dtype=np.int64)
-        shifts = (_SEVEN * positions.astype(_U64))[None, :]
-        payload = ((encoded[:, None] >> shifts) & _LOW7).astype(np.uint8)
-        keep = positions[None, :] < nbytes[:, None]
-        continued = positions[None, :] < (nbytes - 1)[:, None]
-        payload |= continued.astype(np.uint8) << np.uint8(7)
-        # Row-major boolean selection emits each value's bytes in order.
-        return payload[keep].tobytes()
+        starts = np.zeros(min(len(array), 1), dtype=np.int64)
+        return encode_delta_varint_segments(array, starts)[0]
 
     def decode(self, blob: bytes, count: int) -> np.ndarray:
         if count == 0:

@@ -300,6 +300,11 @@ def _write_block_dir(
 
 
 def _check_conforms(chunk: Sequence[Any], schema: BlockSchema) -> None:
+    """Raise unless every record of ``chunk`` fits ``schema``.
+
+    The writers skip the first chunk: :func:`infer_schema` chose the
+    schema from it, so it conforms by construction.
+    """
     if schema.kind == KIND_CSR:
         bad = next((r for r in chunk if not _is_int_record(r)), None)
     else:
@@ -318,7 +323,8 @@ def _write_csr(
     length_parts: list[np.ndarray] = []
     num_records = 0
     for chunk in _prepend(first, rest):
-        _check_conforms(chunk, BlockSchema(KIND_CSR))
+        if chunk is not first:
+            _check_conforms(chunk, BlockSchema(KIND_CSR))
         length_parts.append(
             np.fromiter((len(r) for r in chunk), dtype=np.int64, count=len(chunk))
         )
@@ -349,7 +355,8 @@ def _write_dense(
     num_records = 0
     schema = BlockSchema(KIND_DENSE, width=width)
     for chunk in _prepend(first, rest):
-        _check_conforms(chunk, schema)
+        if chunk is not first:
+            _check_conforms(chunk, schema)
         arr = np.asarray(chunk, dtype=np.float64).reshape(len(chunk), width)
         for j in range(width):
             columns[j].append(arr[:, j])

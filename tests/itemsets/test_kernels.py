@@ -248,16 +248,16 @@ class TestCompressedDomain:
         )
     )
     def test_compressed_round_trip_and_len(self, tids):
-        from repro.itemsets.kernels import as_array, compress_list, list_len
+        from repro.itemsets.kernels import as_array, compress_lists, list_len
 
         for rep in self.reps(tids):
             assert list_len(rep) == len(tids)
             assert as_array(rep).tolist() == tids.tolist()
-        packed = compress_list(tids, base=0, size=self.SIZE)
+        [packed] = compress_lists([tids], base=0, size=self.SIZE)
         assert as_array(packed).tolist() == tids.tolist()
 
     def test_compress_list_never_grows(self):
-        from repro.itemsets.kernels import compress_list, list_nbytes
+        from repro.itemsets.kernels import compress_lists, list_nbytes
 
         for tids in [
             arr(),
@@ -265,14 +265,14 @@ class TestCompressedDomain:
             arr(*range(0, 4096, 3)),
             arr(*range(2048)),
         ]:
-            packed = compress_list(tids, base=0, size=self.SIZE)
+            [packed] = compress_lists([tids], base=0, size=self.SIZE)
             assert list_nbytes(packed) <= list_nbytes(tids)
 
     def test_dense_runs_actually_shrink(self):
-        from repro.itemsets.kernels import compress_list, list_nbytes
+        from repro.itemsets.kernels import compress_lists, list_nbytes
 
         tids = arr(*range(3000))
-        packed = compress_list(tids, base=0, size=self.SIZE)
+        [packed] = compress_lists([tids], base=0, size=self.SIZE)
         assert list_nbytes(packed) < list_nbytes(tids) / 2
 
     @settings(max_examples=25, deadline=None)
@@ -289,3 +289,199 @@ class TestCompressedDomain:
             expected = np.intersect1d(expected, other)  # demonlint: disable=DML006 (reference oracle)
         mixed = [self.reps(tids)[i % 4] for i, tids in enumerate(arrays)]
         assert as_array(intersect_many(mixed)).tolist() == expected.tolist()
+
+
+def _leb128_zigzag(values):
+    """Reference delta+varint writer, one Python int at a time."""
+    out = bytearray()
+    previous = 0
+    for value in values:
+        delta = value - previous
+        previous = value
+        encoded = 2 * delta if delta >= 0 else -2 * delta - 1
+        while encoded >= 0x80:
+            out.append((encoded & 0x7F) | 0x80)
+            encoded >>= 7
+        out.append(encoded)
+    return bytes(out)
+
+
+def _reference_varint_list(tids, base, size):
+    from repro.itemsets.kernels import VARINT_SEGMENT, DeltaVarintTidList
+
+    values = tids.tolist()
+    segments = [
+        values[start : start + VARINT_SEGMENT]
+        for start in range(0, len(values), VARINT_SEGMENT)
+    ]
+    blobs = [_leb128_zigzag(segment) for segment in segments]
+    return DeltaVarintTidList(
+        b"".join(blobs),
+        np.cumsum([0] + [len(blob) for blob in blobs]).astype(np.int64),
+        np.asarray([segment[0] for segment in segments], dtype=np.int64),
+        np.asarray([segment[-1] for segment in segments], dtype=np.int64),
+        base,
+        size,
+        len(values),
+    )
+
+
+def _reference_compress(tids, base, size):
+    """One list at a time, keeping the compressed form only if smaller."""
+    from repro.itemsets.kernels import ChunkedTidList
+
+    if isinstance(tids, BitmapTidList):
+        chunked = ChunkedTidList.from_array(tids.to_array(), base, size)
+        return chunked if chunked.nbytes < tids.nbytes else tids
+    varint = _reference_varint_list(tids, base, size)
+    return varint if len(varint.blob) < TID_BYTES * len(tids) else tids
+
+
+def _assert_same_list(got, want):
+    from repro.itemsets.kernels import ChunkedTidList, DeltaVarintTidList
+
+    assert type(got) is type(want)
+    if isinstance(want, DeltaVarintTidList):
+        assert got.blob == want.blob
+        for name in ("offsets", "firsts", "lasts"):
+            mine, theirs = getattr(got, name), getattr(want, name)
+            assert mine.dtype == theirs.dtype
+            assert mine.tolist() == theirs.tolist()
+        assert (got.base, got.size, got.count) == (want.base, want.size, want.count)
+    elif isinstance(want, ChunkedTidList):
+        assert got.keys.tolist() == want.keys.tolist()
+        assert got.kinds.tolist() == want.kinds.tolist()
+        assert [p.tobytes() for p in got.payloads] == [
+            p.tobytes() for p in want.payloads
+        ]
+        assert got.count == want.count
+    elif isinstance(want, BitmapTidList):
+        assert got.words.tobytes() == want.words.tobytes()
+        assert (got.base, got.size, got.count) == (want.base, want.size, want.count)
+    else:
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist()
+
+
+def _varint_widths(blob):
+    """The lengths in bytes of the varints in ``blob``."""
+    widths = set()
+    run = 0
+    for byte in blob:
+        run += 1
+        if not byte & 0x80:
+            widths.add(run)
+            run = 0
+    return widths
+
+
+#: Block size for the batched-encoder cases: wide enough for tid gaps
+#: of ``2**21`` and more (four-byte varints).
+WIDE_BLOCK = 1 << 23
+
+
+class TestBatchedCompression:
+    """``compress_lists`` equals compressing each list alone, byte for byte.
+
+    The reference encodes each list with a plain Python LEB128 writer,
+    segment by segment, so the property pins the vectorized pass to the
+    format itself rather than to another vectorized implementation.
+    """
+
+    @staticmethod
+    def check(lists, base, size):
+        from repro.itemsets.kernels import compress_lists
+
+        got = compress_lists(lists, base, size)
+        assert len(got) == len(lists)
+        for mine, tids in zip(got, lists):
+            _assert_same_list(mine, _reference_compress(tids, base, size))
+        return got
+
+    def test_segment_edges_wide_gaps_and_bitmaps(self):
+        from repro.itemsets.kernels import DeltaVarintTidList
+
+        base = (1 << 21) + 5
+        local = [
+            [],
+            [7],
+            list(range(1024)),
+            list(range(3, 3 + 2 * 1025, 2)),
+            list(range(0, 3500 * 5, 5)),
+            list(range(0, 200 * 50, 200)),
+            [0, 1 << 14, (1 << 14) * 3],
+            [2, (1 << 21) + 2, (1 << 22) + 9],
+        ]
+        lists = [arr(*(base + tid for tid in tids)) for tids in local]
+        lists.insert(2, BitmapTidList.from_array(arr(base, base + 9), base, WIDE_BLOCK))
+        lists.append(
+            BitmapTidList.from_array(arr(*range(base, base + 9000)), base, WIDE_BLOCK)
+        )
+        got = self.check(lists, base, WIDE_BLOCK)
+        widths = set().union(
+            *(
+                _varint_widths(tids.blob)
+                for tids in got
+                if isinstance(tids, DeltaVarintTidList)
+            )
+        )
+        assert {1, 2, 3, 4} <= widths
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_one_list_at_a_time(self, data):
+        base = data.draw(st.sampled_from([0, 1000, (1 << 14) + 1, (1 << 21) + 3]))
+        lists = []
+        for _ in range(data.draw(st.integers(0, 6))):
+            length = data.draw(st.sampled_from([0, 1, 2, 1023, 1024, 1025, 3001]))
+            max_gap = data.draw(st.sampled_from([1, 3, 200, (1 << 14) + 3, (1 << 21) + 3]))
+            seed = data.draw(st.integers(0, 2**32 - 1))
+            gaps = np.random.default_rng(seed).integers(1, max_gap + 1, length)
+            local = np.cumsum(gaps) - gaps[:1] if length else gaps
+            tids = (local[local < WIDE_BLOCK] + base).astype(TID_DTYPE)
+            if data.draw(st.booleans()):
+                lists.append(BitmapTidList.from_array(tids, base, WIDE_BLOCK))
+            else:
+                tids.flags.writeable = False
+                lists.append(tids)
+        self.check(lists, base, WIDE_BLOCK)
+
+    def test_quest_block_bytes_unchanged(self):
+        import pickle
+
+        from repro.datagen.quest import QuestGenerator, QuestParams
+        from repro.itemsets.tidlist import TidListStore
+
+        generator = QuestGenerator(
+            QuestParams.from_name("2M.20L.1I.4pats.4plen"), seed=2
+        )
+        blocks = [generator.block(block_id, 1000) for block_id in (1, 2)]
+        batched, reference = TidListStore(), TidListStore()
+        for block in blocks:
+            batched.materialize_block(block)
+            reference.materialize_block(block)
+        for block_id in (1, 2):
+            batched.compress_block(block_id)
+            base = reference.base_tid(block_id)
+            size = reference.block_size(block_id)
+            reference._lists[block_id] = {
+                item: _reference_compress(tids, base, size)
+                for item, tids in reference.lists_view(block_id).items()
+            }
+            reference._compressed.add(block_id)
+        kinds = set()
+        for block_id in (1, 2):
+            mine = batched.lists_view(block_id)
+            theirs = reference.lists_view(block_id)
+            assert list(mine) == list(theirs)
+            for item, tids in theirs.items():
+                _assert_same_list(mine[item], tids)
+                kinds.add(type(tids).__name__)
+        assert {"DeltaVarintTidList", "BitmapTidList"} <= kinds
+        assert batched.total_nbytes() == reference.total_nbytes()
+        assert pickle.dumps(batched) == pickle.dumps(reference)
+        # Restore re-compresses the cold blocks through the same pass.
+        restored = pickle.loads(pickle.dumps(batched))
+        for block_id in (1, 2):
+            for item, tids in batched.lists_view(block_id).items():
+                _assert_same_list(restored.lists_view(block_id)[item], tids)

@@ -23,6 +23,7 @@ from repro.storage.codecs import (
     RawCodec,
     RawU16Codec,
     deflate,
+    encode_delta_varint_segments,
     inflate,
     pack_container,
     resolve_codec,
@@ -51,6 +52,21 @@ class TestDeltaVarint:
         decoded = codec.decode(blob, len(values))
         assert decoded.dtype == np.int64
         np.testing.assert_array_equal(decoded, values)
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=int64_columns, data=st.data())
+    def test_segments_encode_like_separate_columns(self, values, data):
+        cuts = data.draw(st.sets(st.integers(1, max(len(values) - 1, 1)), max_size=6))
+        starts = [0, *sorted(c for c in cuts if c < len(values))] if len(values) else []
+        pieces = [
+            DeltaVarintCodec().encode(values[lo:hi])
+            for lo, hi in zip(starts, [*starts[1:], len(values)])
+        ]
+        blob, offsets = encode_delta_varint_segments(
+            values, np.asarray(starts, dtype=np.int64)
+        )
+        assert blob == b"".join(pieces)
+        assert offsets.tolist() == np.cumsum([0, *map(len, pieces)]).tolist()
 
     def test_int64_extremes_survive(self):
         codec = DeltaVarintCodec()

@@ -195,6 +195,15 @@ class TestOnDiskLayout:
         with pytest.raises(SchemaError, match="type-homogeneous"):
             backend.ingest(1, iter(records))
 
+    def test_dense_schema_violation_mid_stream_raises(self, tmp_path):
+        backend = MmapBackend(root=str(tmp_path), chunk_size=2)
+        # First chunk infers a width-2 dense schema; a later record of
+        # another width, then one with an int, violate it.
+        for block_id, bad in enumerate([(1.0, 2.0, 3.0), (1.0, 2)], start=1):
+            records = [(0.5, 1.5), (2.5, 3.5), bad]
+            with pytest.raises(SchemaError, match="type-homogeneous"):
+                backend.ingest(block_id, iter(records))
+
     def test_close_releases_arrays_and_iteration_reopens(self, tmp_path):
         backend = MmapBackend(root=str(tmp_path))
         block = backend.ingest(1, POINTS)
