@@ -22,21 +22,68 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from repro.clustering.cf import ClusterFeature, get_metric
+from repro.clustering.cf import (
+    CFStack,
+    ClusterFeature,
+    cf_one,
+    cf_stack,
+    get_kernel,
+    get_metric,
+    pairwise,
+    set_row,
+)
 
 
 class _Node:
     """One CF-tree node; ``entries[i]`` summarizes ``children[i]``.
 
     Leaf nodes have no children; their entries are the sub-clusters.
+    The entries are kept stacked (:data:`~repro.clustering.cf.CFStack`)
+    for the distance kernels: :meth:`set_entry` updates one row, a
+    change to the entry list drops the stack, and :meth:`stack`
+    rebuilds it on demand.  A node pickles as its three list slots
+    alone, exactly as before the stack existed, so model bytes, vault
+    sizes and checkpoints do not depend on it.
     """
 
-    __slots__ = ("entries", "children", "is_leaf")
+    __slots__ = ("entries", "children", "is_leaf", "_stack")
 
     def __init__(self, is_leaf: bool):
         self.entries: list[ClusterFeature] = []
         self.children: list["_Node"] = []
         self.is_leaf = is_leaf
+        self._stack: CFStack | None = None
+
+    def __getstate__(self):
+        slots = {
+            "entries": self.entries,
+            "children": self.children,
+            "is_leaf": self.is_leaf,
+        }
+        return None, slots
+
+    def __setstate__(self, state) -> None:
+        _dict, slots = state
+        self.entries = slots["entries"]
+        self.children = slots["children"]
+        self.is_leaf = slots["is_leaf"]
+        self._stack = None
+
+    def stack(self) -> CFStack:
+        """The entries as a :data:`CFStack`, one row per entry."""
+        if self._stack is None:
+            self._stack = cf_stack(self.entries)
+        return self._stack
+
+    def set_entry(self, index: int, cf: ClusterFeature) -> None:
+        """Store ``cf`` (new, or changed in place) as entry ``index``."""
+        self.entries[index] = cf
+        if self._stack is not None:
+            set_row(self._stack, index, cf)
+
+    def entries_changed(self) -> None:
+        """Entries were added, removed or reordered: drop the stack."""
+        self._stack = None
 
 
 class CFTree:
@@ -71,6 +118,9 @@ class CFTree:
         self.leaf_capacity = leaf_capacity
         self.max_leaf_entries = max_leaf_entries
         self.metric_name = metric
+        # The metric's two-CF function.  The tree looks its kernel up by
+        # ``metric_name``; this attribute stays because it is part of the
+        # pickled tree, and with it model bytes and checkpoints.
         self._distance = get_metric(metric)
         self._root = _Node(is_leaf=True)
         self._n_points = 0
@@ -109,7 +159,7 @@ class CFTree:
         """Insert a pre-summarized sub-cluster (used by rebuilds too)."""
         if cf.is_empty():
             return
-        split = self._insert(self._root, cf)
+        split = self._insert(self._root, cf, cf_one(cf))
         if split is not None:
             left, right = split
             new_root = _Node(is_leaf=False)
@@ -120,67 +170,65 @@ class CFTree:
         if self._n_leaf_entries > self.max_leaf_entries:
             self._rebuild()
 
-    def _insert(self, node: _Node, cf: ClusterFeature):
-        """Recursive insert; returns a (left, right) pair on split."""
+    def _insert(self, node: _Node, cf: ClusterFeature, one: CFStack):
+        """Recursive insert; returns a (left, right) pair on split.
+
+        ``one`` is ``cf`` as a kernel operand, built once per insert.
+        """
         if node.is_leaf:
-            return self._insert_into_leaf(node, cf)
-        index = self._closest_entry(node, cf)
-        split = self._insert(node.children[index], cf)
+            return self._insert_into_leaf(node, cf, one)
+        index = self._closest_entry(node, one)
+        split = self._insert(node.children[index], cf, one)
         if split is None:
-            node.entries[index].merge(cf)
+            entry = node.entries[index]
+            entry.merge(cf)
+            node.set_entry(index, entry)
             return None
         left, right = split
         node.children[index] = left
         node.entries[index] = self._subtree_cf(left)
         node.children.insert(index + 1, right)
         node.entries.insert(index + 1, self._subtree_cf(right))
+        node.entries_changed()
         if len(node.children) > self.branching_factor:
             return self._split_node(node)
         return None
 
-    def _insert_into_leaf(self, leaf: _Node, cf: ClusterFeature):
+    def _insert_into_leaf(self, leaf: _Node, cf: ClusterFeature, one: CFStack):
         if leaf.entries:
-            index = self._closest_entry(leaf, cf)
+            index = self._closest_entry(leaf, one)
             candidate = leaf.entries[index].merged(cf)
             if candidate.diameter() <= self.threshold:
-                leaf.entries[index] = candidate
+                leaf.set_entry(index, candidate)
                 return None
         leaf.entries.append(cf.copy())
+        leaf.entries_changed()
         self._n_leaf_entries += 1
         if len(leaf.entries) > self.leaf_capacity:
             return self._split_node(leaf)
         return None
 
-    def _closest_entry(self, node: _Node, cf: ClusterFeature) -> int:
-        best_index = 0
-        best_distance = float("inf")
-        for i, entry in enumerate(node.entries):
-            distance = self._distance(entry, cf)
-            if distance < best_distance:
-                best_distance = distance
-                best_index = i
-        return best_index
+    def _closest_entry(self, node: _Node, one: CFStack) -> int:
+        """Index of the entry nearest to ``one`` (the first, on ties)."""
+        return int(get_kernel(self.metric_name)(node.stack(), one).argmin())
 
     def _split_node(self, node: _Node) -> tuple[_Node, _Node]:
-        """Split an over-full node on its farthest pair of entries."""
+        """Split an over-full node on its farthest pair of entries.
+
+        The seeds are the first farthest pair in row-major order; each
+        entry joins the nearer seed, the first seed on a tie.
+        """
         entries = node.entries
         n = len(entries)
-        seed_a, seed_b, worst = 0, 1, -1.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                distance = self._distance(entries[i], entries[j])
-                if distance > worst:
-                    worst = distance
-                    seed_a, seed_b = i, j
+        distances = pairwise(get_kernel(self.metric_name), cf_stack(entries))
+        rows, columns = np.triu_indices(n, 1)
+        farthest = int(np.argmax(distances[rows, columns]))
+        seed_a, seed_b = int(rows[farthest]), int(columns[farthest])
+        to_left = distances[:, seed_a] <= distances[:, seed_b]
         left = _Node(is_leaf=node.is_leaf)
         right = _Node(is_leaf=node.is_leaf)
         for i in range(n):
-            target = (
-                left
-                if self._distance(entries[i], entries[seed_a])
-                <= self._distance(entries[i], entries[seed_b])
-                else right
-            )
+            target = left if to_left[i] else right
             target.entries.append(entries[i])
             if not node.is_leaf:
                 target.children.append(node.children[i])
@@ -231,16 +279,11 @@ class CFTree:
         if len(entries) < 2:
             return floor
         sample = entries[:: max(1, len(entries) // 64)]
-        nearest: list[float] = []
-        for i, a in enumerate(sample):
-            best = float("inf")
-            for j, b in enumerate(sample):
-                if i == j:
-                    continue
-                best = min(best, self._distance(a, b))
-            if best < float("inf"):
-                nearest.append(best)
-        if not nearest:
+        distances = pairwise(get_kernel(self.metric_name), cf_stack(sample))
+        np.fill_diagonal(distances, np.inf)
+        nearest = distances.min(axis=1)
+        nearest = nearest[nearest < np.inf]
+        if not nearest.size:
             return floor
         return max(floor, float(np.mean(nearest)))
 

@@ -81,12 +81,13 @@ class SupportsCompressBlock(Protocol):
     """A TID-list store that can re-encode an expired block in place.
 
     :meth:`compress_block` must be idempotent and safe for unknown
-    block ids (returning 0 bytes saved), because under deferred
-    maintenance an expired block may never have been materialized.
+    block ids (returning 0), because under deferred maintenance an
+    expired block may never have been materialized.
     """
 
     def compress_block(self, block_id: int) -> int:
-        """Re-encode one block's lists; returns bytes saved."""
+        """Re-encode one block's lists; returns the compressed bytes now
+        holding the block (0 if unknown or already compressed)."""
         ...
 
 

@@ -550,7 +550,7 @@ _COMPRESSED_TYPES = (DeltaVarintTidList, ChunkedTidList)
 
 def compress_lists(
     lists: Sequence[TidList], base: int, size: int
-) -> list[TidList]:
+) -> tuple[list[TidList], int]:
     """Re-encode one block's lists for the cold tier, keeping the smaller forms.
 
     Sorted arrays become :class:`DeltaVarintTidList`s (typically 1-2
@@ -564,23 +564,34 @@ def compress_lists(
     a block.  The choice depends only on each list's contents, keeping
     it deterministic across backends and restarts.  Already-compressed
     lists pass through unchanged.
+
+    Returns the lists and their total physical bytes (the sum of
+    :func:`list_nbytes`), read off the sizes the choice compares.
     """
     result = list(lists)
-    array_slots = [
-        index for index, tids in enumerate(result) if isinstance(tids, np.ndarray)
-    ]
+    array_slots: list[int] = []
+    other_slots: list[int] = []
+    for index, tids in enumerate(result):
+        (array_slots if isinstance(tids, np.ndarray) else other_slots).append(index)
     varints = DeltaVarintTidList.from_arrays(
         [result[index] for index in array_slots], base, size
     )
+    nbytes = 0
     for index, varint in zip(array_slots, varints):
-        if varint.nbytes < TID_BYTES * varint.count:
+        packed, raw = varint.nbytes, TID_BYTES * varint.count
+        if packed < raw:
             result[index] = varint
-    for index, tids in enumerate(result):
+            nbytes += packed
+        else:
+            nbytes += raw
+    for index in other_slots:
+        tids = result[index]
         if isinstance(tids, BitmapTidList):
             chunked = ChunkedTidList.from_array(tids.to_array(), base, size)
             if chunked.nbytes < tids.nbytes:
-                result[index] = chunked
-    return result
+                result[index] = tids = chunked
+        nbytes += tids.nbytes
+    return result, nbytes
 
 
 def list_len(tids: TidList) -> int:

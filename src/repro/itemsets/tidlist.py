@@ -265,14 +265,12 @@ class TidListStore:
         base = self._base_tids[block_id]
         size = self._block_sizes[block_id]
         block_lists = self._block_lists(block_id)
-        compressed = dict(
-            zip(block_lists, compress_lists(list(block_lists.values()), base, size))
-        )
-        self._lists[block_id] = compressed
+        lists, nbytes = compress_lists(list(block_lists.values()), base, size)
+        self._lists[block_id] = dict(zip(block_lists, lists))
         self._catalogs.pop(block_id, None)
         self._packed.pop(block_id, None)
         self._compressed.add(block_id)
-        return sum(list_nbytes(tids) for tids in compressed.values())
+        return nbytes
 
     def _canonical_lists(self, block_id: int) -> dict[int, TidList]:
         """A compressed block's lists in their original dense forms.

@@ -71,6 +71,7 @@ from repro.core.blocks import (
     Block,
     InMemoryBlockData,
     default_chunk_size,
+    record_nbytes,
     records_nbytes,
 )
 from repro.storage.iostats import IOStats, IOStatsRegistry
@@ -229,9 +230,14 @@ class ChunkView(list):
 
 
 class MeteredMemoryData(InMemoryBlockData[T]):
-    """In-memory block data that charges reads to an :class:`IOStats`."""
+    """In-memory block data that charges reads to an :class:`IOStats`.
 
-    __slots__ = ("_stats", "_chunk_size")
+    Each record's size is computed once, at ingest: ``_offsets[i]`` is
+    the size of the first ``i`` records, so a chunk is charged by one
+    subtraction and the block's ``nbytes`` is the last offset.
+    """
+
+    __slots__ = ("_stats", "_chunk_size", "_offsets")
 
     def __init__(
         self,
@@ -242,12 +248,21 @@ class MeteredMemoryData(InMemoryBlockData[T]):
         super().__init__(_fresh_records(records))
         self._stats = stats
         self._chunk_size = chunk_size
+        sizes = np.fromiter(
+            map(record_nbytes, self._records), dtype=np.int64, count=len(self._records)
+        )
+        self._offsets = np.concatenate(([0], np.cumsum(sizes)))
+        self._nbytes = int(self._offsets[-1])
 
     def chunks(self, chunk_size: int | None = None) -> Iterator[Sequence[T]]:
         if chunk_size is None:
             chunk_size = self._chunk_size
+        offsets = self._offsets
+        start = 0
         for chunk in super().chunks(chunk_size):
-            self._stats.record_read(records_nbytes(chunk))
+            stop = start + len(chunk)
+            self._stats.record_read(int(offsets[stop] - offsets[start]))
+            start = stop
             yield chunk
 
     def materialize(self) -> tuple[T, ...]:

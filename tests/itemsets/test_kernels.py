@@ -253,7 +253,7 @@ class TestCompressedDomain:
         for rep in self.reps(tids):
             assert list_len(rep) == len(tids)
             assert as_array(rep).tolist() == tids.tolist()
-        [packed] = compress_lists([tids], base=0, size=self.SIZE)
+        [packed], _nbytes = compress_lists([tids], base=0, size=self.SIZE)
         assert as_array(packed).tolist() == tids.tolist()
 
     def test_compress_list_never_grows(self):
@@ -265,14 +265,14 @@ class TestCompressedDomain:
             arr(*range(0, 4096, 3)),
             arr(*range(2048)),
         ]:
-            [packed] = compress_lists([tids], base=0, size=self.SIZE)
+            [packed], _nbytes = compress_lists([tids], base=0, size=self.SIZE)
             assert list_nbytes(packed) <= list_nbytes(tids)
 
     def test_dense_runs_actually_shrink(self):
         from repro.itemsets.kernels import compress_lists, list_nbytes
 
         tids = arr(*range(3000))
-        [packed] = compress_lists([tids], base=0, size=self.SIZE)
+        [packed], _nbytes = compress_lists([tids], base=0, size=self.SIZE)
         assert list_nbytes(packed) < list_nbytes(tids) / 2
 
     @settings(max_examples=25, deadline=None)
@@ -392,7 +392,10 @@ class TestBatchedCompression:
     def check(lists, base, size):
         from repro.itemsets.kernels import compress_lists
 
-        got = compress_lists(lists, base, size)
+        from repro.itemsets.kernels import list_nbytes
+
+        got, nbytes = compress_lists(lists, base, size)
+        assert nbytes == sum(list_nbytes(tids) for tids in got)
         assert len(got) == len(lists)
         for mine, tids in zip(got, lists):
             _assert_same_list(mine, _reference_compress(tids, base, size))
@@ -485,3 +488,19 @@ class TestBatchedCompression:
         for block_id in (1, 2):
             for item, tids in batched.lists_view(block_id).items():
                 _assert_same_list(restored.lists_view(block_id)[item], tids)
+
+    def test_compress_block_returns_compressed_bytes(self):
+        from repro.datagen.quest import QuestGenerator, QuestParams
+        from repro.itemsets.tidlist import TidListStore
+
+        generator = QuestGenerator(
+            QuestParams.from_name("2M.20L.1I.4pats.4plen"), seed=3
+        )
+        store = TidListStore()
+        store.materialize_block(generator.block(1, 1000))
+        raw = store.nbytes(1)
+        packed = store.compress_block(1)
+        assert packed == store.nbytes(1)
+        assert 0 < packed < raw
+        assert store.compress_block(1) == 0
+        assert store.compress_block(99) == 0

@@ -156,6 +156,30 @@ class TestByteAccountingParity:
         assert memory.stats.writes == 1
         assert memory.stats.bytes_read == 2 * records_nbytes(records)
 
+    @pytest.mark.parametrize("name", ["transactions", "points", "labelled", "mixed"])
+    @pytest.mark.parametrize("chunk_size", [1, 3, None])
+    def test_memory_chunk_charges_are_chunk_sizes(self, name, chunk_size):
+        """Each chunk is charged the logical size of exactly its records."""
+        records = (
+            TRANSACTIONS + POINTS + LABELLED + [(), "x" * 40]
+            if name == "mixed"
+            else DATASETS[name] * 3
+        )
+        backend = InMemoryBackend()
+        block = backend.ingest(1, records)
+        assert backend.stats.bytes_written == records_nbytes(records)
+        chunks = block.iter_chunks(chunk_size)
+        charges, expected = [], []
+        while True:
+            before = backend.stats.bytes_read
+            chunk = next(chunks, None)
+            if chunk is None:
+                break
+            charges.append(backend.stats.bytes_read - before)
+            expected.append(records_nbytes(chunk))
+        assert charges == expected
+        assert len(charges) == -(-len(records) // (chunk_size or default_chunk_size()))
+
     def test_ingest_charges_one_write_of_the_block_size(self, backend):
         backend.ingest(1, TRANSACTIONS)
         assert backend.stats.writes == 1
